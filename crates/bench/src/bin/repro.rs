@@ -792,7 +792,14 @@ fn main() {
         BenchScale::Default
     };
 
-    if selected.is_empty() {
+    let unknown: Vec<&String> = selected
+        .iter()
+        .filter(|s| *s != "all" && !EXPERIMENTS.iter().any(|(n, _)| n == s))
+        .collect();
+    if selected.is_empty() || !unknown.is_empty() {
+        for name in unknown {
+            eprintln!("unknown experiment: {name}");
+        }
         eprintln!("usage: repro [--smoke] <experiment...|all>");
         eprintln!(
             "experiments: {}",

@@ -310,20 +310,26 @@ fn serve_over(
     embeddings: &Embeddings,
 ) -> io::Result<(ServeSummary, SocketTransport)> {
     let engine = ShardedQueryEngine::new(transport, embeddings, spec.build_serve_config())?;
-    let scheduler = Scheduler::new(engine, SchedulerConfig::default());
+    let scheduler_config = SchedulerConfig::default();
+    let window = scheduler_config.max_inflight;
+    let scheduler = Scheduler::new(engine, scheduler_config);
     let client = scheduler.client();
     let query_nodes = spec.serve_query_nodes();
     let rejected =
         |e: distger_serve::Rejected| io::Error::other(format!("serve request rejected: {e:?}"));
-    // Submit everything before waiting so the dispatcher actually batches.
-    let pending: Vec<_> = query_nodes
-        .iter()
-        .map(|&node| client.submit(embeddings.vector(node)).map_err(rejected))
-        .collect::<io::Result<_>>()?;
-    let results: Vec<TopK> = pending
-        .into_iter()
-        .map(|p| p.wait().map_err(rejected))
-        .collect::<io::Result<_>>()?;
+    // Submit a whole window before waiting so the dispatcher actually
+    // batches; a window never exceeds the admission bound, so no query is
+    // shed however many the spec asks for.
+    let mut results: Vec<TopK> = Vec::with_capacity(query_nodes.len());
+    for nodes in query_nodes.chunks(window) {
+        let pending: Vec<_> = nodes
+            .iter()
+            .map(|&node| client.submit(embeddings.vector(node)).map_err(rejected))
+            .collect::<io::Result<_>>()?;
+        for p in pending {
+            results.push(p.wait().map_err(rejected)?);
+        }
+    }
     let scheduler_stats = scheduler.stats();
     drop(client);
     let engine = scheduler.into_engine();
@@ -502,6 +508,38 @@ mod tests {
         let classic = distger_walks::run_distributed_walks(&graph, &partitioning, &in_process);
         assert_eq!(report.walk.corpus, classic.corpus);
         assert_eq!(report.walk.comm, classic.comm);
+    }
+
+    #[test]
+    fn serve_phase_windows_more_queries_than_the_admission_bound() {
+        // More distinct self-queries than the scheduler admits at once: the
+        // serve phase must window its submissions instead of being shed.
+        let max_inflight = SchedulerConfig::default().max_inflight as u32;
+        let spec = JobSpec {
+            graph_nodes: max_inflight + 100,
+            graph_attachment: 2,
+            machines: 2,
+            dim: 8,
+            serve_queries: max_inflight + 76,
+            ..JobSpec::default()
+        };
+        let report = launch_over_loopback(&spec, 1);
+        let serve = report.serve.as_ref().expect("serve phase ran");
+        assert_eq!(serve.results.len(), spec.serve_queries as usize);
+        assert_eq!(serve.scheduler.shed, 0);
+        assert_eq!(serve.scheduler.completed, u64::from(spec.serve_queries));
+        let oracle = distger_serve::QueryEngine::new(
+            distger_serve::EmbeddingIndex::build(&report.embeddings),
+            spec.build_serve_config(),
+        );
+        for (&node, sharded) in serve.query_nodes.iter().zip(&serve.results) {
+            let expected = oracle.top_k_one(report.embeddings.vector(node));
+            assert_eq!(
+                sharded.neighbors(),
+                expected.neighbors(),
+                "query node {node}"
+            );
+        }
     }
 
     #[test]

@@ -53,9 +53,37 @@ impl Default for SigmoidTable {
     }
 }
 
+/// Independent accumulator lanes of [`dot`]: one 256-bit vector of `f32`.
+const LANES: usize = 8;
+
+/// Dot product with [`LANES`] independent accumulators over
+/// `chunks_exact(LANES)`, reduced in a fixed tree order, plus the scalar
+/// remainder. A single running sum is one add-latency chain per element that
+/// strict `f32` ordering forbids the compiler to split; fixing the split in
+/// the source lets it vectorise while every build still adds in the same
+/// order, so results stay deterministic.
+#[inline]
+pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
+    let (a_chunks, b_chunks) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let (a_tail, b_tail) = (a_chunks.remainder(), b_chunks.remainder());
+    let mut lanes = [0.0f32; LANES];
+    for (x, y) in a_chunks.zip(b_chunks) {
+        for ((lane, x), y) in lanes.iter_mut().zip(x).zip(y) {
+            *lane += x * y;
+        }
+    }
+    let mut sum = ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6]))
+        + ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
+    for (x, y) in a_tail.iter().zip(b_tail) {
+        sum += x * y;
+    }
+    sum
+}
+
 /// One SGNS pair update: trains `input` against `output` with `label`,
 /// accumulating the input-side gradient into `input_grad` (applied by the
 /// caller once per positive/negative group) and updating `output` in place.
+/// Every trainer (Hogwild, Pword2vec, DSGL) runs this one kernel.
 #[inline]
 pub fn sgns_pair_update(
     sig: &SigmoidTable,
@@ -67,22 +95,18 @@ pub fn sgns_pair_update(
 ) {
     debug_assert_eq!(input.len(), output.len());
     debug_assert_eq!(input.len(), input_grad.len());
-    let mut dot = 0.0f32;
-    for i in 0..input.len() {
-        dot += input[i] * output[i];
-    }
-    let g = (label - sig.sigmoid(dot)) * lr;
-    for i in 0..input.len() {
-        input_grad[i] += g * output[i];
-        output[i] += g * input[i];
+    let g = (label - sig.sigmoid(dot(input, output))) * lr;
+    for ((grad, out), &x) in input_grad.iter_mut().zip(output.iter_mut()).zip(input) {
+        *grad += g * *out;
+        *out += g * x;
     }
 }
 
 /// Applies an accumulated input gradient.
 #[inline]
 pub fn apply_input_grad(input: &mut [f32], input_grad: &[f32]) {
-    for i in 0..input.len() {
-        input[i] += input_grad[i];
+    for (x, &g) in input.iter_mut().zip(input_grad) {
+        *x += g;
     }
 }
 
@@ -183,6 +207,55 @@ mod tests {
         }
         assert_eq!(sig.sigmoid(100.0), 1.0);
         assert_eq!(sig.sigmoid(-100.0), 0.0);
+    }
+
+    #[test]
+    fn chunked_pair_update_matches_an_f64_reference_for_every_dim() {
+        let sig = SigmoidTable::new();
+        let mut rng = SplitMix64::new(0x5e_ed);
+        let mut draw = |n: usize| -> Vec<f32> {
+            (0..n)
+                .map(|_| (rng.next_u64() >> 40) as f32 / (1u64 << 24) as f32 - 0.5)
+                .collect()
+        };
+        for dim in 1..=70 {
+            for label in [0.0f32, 1.0] {
+                let input = draw(dim);
+                let output = draw(dim);
+                let seed_grad = draw(dim);
+                let lr = 0.025f32;
+
+                let dot64: f64 = input
+                    .iter()
+                    .zip(&output)
+                    .map(|(&x, &y)| f64::from(x) * f64::from(y))
+                    .sum();
+                assert!(
+                    (f64::from(dot(&input, &output)) - dot64).abs() < 1e-5,
+                    "dim {dim}: dot {} vs f64 {dot64}",
+                    dot(&input, &output)
+                );
+                let g = f64::from((label - sig.sigmoid(dot64 as f32)) * lr);
+
+                let mut out = output.clone();
+                let mut grad = seed_grad.clone();
+                sgns_pair_update(&sig, &input, &mut out, label, lr, &mut grad);
+                for i in 0..dim {
+                    let grad64 = f64::from(seed_grad[i]) + g * f64::from(output[i]);
+                    let out64 = f64::from(output[i]) + g * f64::from(input[i]);
+                    assert!(
+                        (f64::from(grad[i]) - grad64).abs() < 1e-5,
+                        "dim {dim} lane {i}: grad {} vs f64 {grad64}",
+                        grad[i]
+                    );
+                    assert!(
+                        (f64::from(out[i]) - out64).abs() < 1e-5,
+                        "dim {dim} lane {i}: output {} vs f64 {out64}",
+                        out[i]
+                    );
+                }
+            }
+        }
     }
 
     #[test]

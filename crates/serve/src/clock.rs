@@ -251,20 +251,23 @@ mod tests {
     fn system_clock_wake_interrupts_an_idle_park() {
         let clock = SystemClock::default();
         let state = Mutex::new(());
+        let (holding_tx, holding_rx) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             scope.spawn(|| {
+                let guard = state.lock().unwrap();
+                holding_tx.send(()).unwrap();
                 // Parked with no deadline; only the wake below can end this.
-                clock.wait_until(state.lock().unwrap(), IDLE);
+                clock.wait_until(guard, IDLE);
             });
-            // Not sleep-based: wake() blocks on the clock lock until the
-            // parker holds it, so repeated wakes eventually land after the
+            // Not sleep-based. Once the parker holds the state lock, taking
+            // that lock here succeeds only after `wait_until` released it,
+            // which it does while holding the clock lock (protocol step 2);
+            // `wake` then blocks on the clock lock until the parker waits on
+            // the condition variable, so the wake always lands after the
             // park — and the scope join proves the park ended.
-            loop {
-                clock.wake();
-                if state.try_lock().is_ok() {
-                    break;
-                }
-            }
+            holding_rx.recv().unwrap();
+            drop(state.lock().unwrap());
+            clock.wake();
         });
     }
 

@@ -1018,21 +1018,20 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("loopback addr");
         std::thread::scope(|scope| {
-            scope.spawn(move || {
-                // Endpoint 1 panics on its first batch (the injector trips
-                // as (endpoint, batch_index, superstep 0)).
-                let mut channel =
-                    SocketTransport::worker(addr, Duration::from_secs(10)).expect("connect");
-                let shard = receive_shard(&mut channel).expect("receive shard");
-                let faults = FaultPlan::new().panic_at(1, 0, 0).build();
-                serve_shard(&mut channel, &shard, Some(&faults)).expect("serve loop");
-            });
-            scope.spawn(move || {
-                let mut channel =
-                    SocketTransport::worker(addr, Duration::from_secs(10)).expect("connect");
-                let shard = receive_shard(&mut channel).expect("receive shard");
-                serve_shard(&mut channel, &shard, None).expect("serve loop");
-            });
+            for _ in 0..2 {
+                scope.spawn(move || {
+                    // Endpoint 1 panics on its first batch (the injector
+                    // trips as (endpoint, batch_index, superstep 0)). The
+                    // coordinator assigns ids in accept order, so the plan
+                    // is keyed on the id the handshake assigned.
+                    let mut channel =
+                        SocketTransport::worker(addr, Duration::from_secs(10)).expect("connect");
+                    let shard = receive_shard(&mut channel).expect("receive shard");
+                    let faults = (channel.endpoint() == 1)
+                        .then(|| FaultPlan::new().panic_at(1, 0, 0).build());
+                    serve_shard(&mut channel, &shard, faults.as_ref()).expect("serve loop");
+                });
+            }
             let channel = SocketTransport::coordinator(&listener, 3, 3).expect("coordinator");
             let engine = ShardedQueryEngine::new(channel, &embeddings, config).expect("load");
             let scheduler = Scheduler::new(
